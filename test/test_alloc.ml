@@ -295,6 +295,83 @@ let prop_heuristics_deterministic =
         (fun (h : A.heuristic) -> h.allocate ctx = h.allocate ctx)
         A.all)
 
+(* The CPA growth loop written straight from its definition: at every
+   step recompute T_CP, T_A and one critical path from scratch with
+   [Analysis], pick the eligible critical-path task with the best
+   positive gain (first in path order on ties), grow it by one.  MCPA's
+   eligibility rescans all tasks of the level.  The allocators must
+   agree with it exactly. *)
+let reference_growth ~gain ~level_budget ctx =
+  let g = ctx.Common.graph and procs = ctx.Common.procs in
+  let n = Graph.task_count g in
+  let alloc = Array.make n 1 in
+  let level = Graph.precedence_level g in
+  let level_total lv =
+    let total = ref 0 in
+    Array.iteri (fun v l -> if l = lv then total := !total + alloc.(v)) level;
+    !total
+  in
+  let eligible v = (not level_budget) || level_total level.(v) < procs in
+  let time v = ctx.Common.tables.(v).(alloc.(v) - 1) in
+  let rec step () =
+    let t_cp = Emts_ptg.Analysis.critical_path_length g ~time in
+    let t_a =
+      Emts_ptg.Analysis.average_area g ~time ~alloc:(fun v -> alloc.(v))
+        ~procs
+    in
+    if n > 0 && t_cp > t_a then begin
+      let best = ref None in
+      List.iter
+        (fun v ->
+          if eligible v then begin
+            let gv = Common.gain_value ctx alloc gain v in
+            match !best with
+            | Some (_, gb) when gb >= gv -> ()
+            | _ when gv = neg_infinity -> ()
+            | _ -> best := Some (v, gv)
+          end)
+        (Emts_ptg.Analysis.critical_path g ~time);
+      match !best with
+      | Some (v, gv) when gv > 0. ->
+        alloc.(v) <- alloc.(v) + 1;
+        step ()
+      | _ -> ()
+    end
+  in
+  step ();
+  alloc
+
+let prop_growth_loop_matches_reference =
+  QCheck.Test.make ~name:"CPA/HCPA/MCPA = growth loop from the definition"
+    ~count:150
+    QCheck.(
+      pair (Testutil.arbitrary_dag ~max_n:30 ())
+        (triple (int_range 0 (List.length Emts_check.Scenario.models - 1))
+           (int_range 1 24) bool))
+    (fun (g, (m, procs, zero_some)) ->
+      (* zero-cost tasks give zero gains and ties in bottom levels *)
+      let g =
+        if not zero_some then g
+        else
+          Graph.map_tasks
+            (fun t ->
+              if t.Emts_ptg.Task.id mod 3 = 0 then
+                { t with Emts_ptg.Task.flop = 0.; pattern = Emts_ptg.Task.Direct }
+              else t)
+            g
+      in
+      let model = snd (List.nth Emts_check.Scenario.models m) in
+      let platform =
+        Emts_platform.make ~name:"ref" ~processors:procs ~speed_gflops:1.
+      in
+      let ctx = ctx_of ~model ~platform g in
+      A.Cpa.allocate ctx
+      = reference_growth ~gain:Common.Efficiency ~level_budget:false ctx
+      && A.Hcpa.allocate ctx
+         = reference_growth ~gain:Common.Absolute ~level_budget:false ctx
+      && A.Mcpa.allocate ctx
+         = reference_growth ~gain:Common.Efficiency ~level_budget:true ctx)
+
 let () =
   Alcotest.run "alloc"
     [
@@ -348,5 +425,6 @@ let () =
             prop_heuristics_valid;
             prop_heuristics_deterministic;
             prop_bounds_below_any_schedule;
+            prop_growth_loop_matches_reference;
           ] );
     ]

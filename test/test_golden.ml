@@ -1,10 +1,12 @@
-(* Golden-file tests for the textual renderers.
+(* Golden-file tests for the textual renderers and the seed heuristics.
 
    Gantt charts, SVG charts and CSV exports are consumed outside the
    process (reports, dashboards, the paper's Figure 6) — their output
    must be a pure, byte-stable function of the schedule, across runs
    and across refactors.  Each test renders a deterministic schedule
    and compares against a checked-in .expected file byte for byte.
+   The CPA/HCPA/MCPA/DeltaCP allocations that seed EMTS are pinned the
+   same way, so a rewrite of the allocators cannot move a seed.
 
    To regenerate after an intentional renderer change:
 
@@ -185,6 +187,94 @@ let test_online_commitments () =
        (online_commitment_log
           ~replanner:(Online.Emts { mu = 3; lambda = 8; generations = 3 })))
 
+(* Seed allocations: every CPA-family heuristic plus DeltaCP on a fixed
+   seeded corpus.  The main grid is daggen graphs under Model 1 (Amdahl)
+   and Model 2 (synthetic) on Grelon and Chti; the adversarial part is
+   the fuzzer's shapes (chains, forks, a single task, zero-cost tasks,
+   random Emts_check.Gen draws) under every fuzz model, including a
+   1-processor platform where nothing can grow.  One line per
+   (instance, heuristic): the allocation vector in task order. *)
+
+let seed_heuristics = [ "CPA"; "HCPA"; "MCPA"; "DeltaCP" ]
+
+let seed_lines ~label ~model ~platform graph =
+  let ctx = Emts_alloc.Common.make_ctx ~model ~platform ~graph in
+  List.map
+    (fun name ->
+      let h = Option.get (Emts_alloc.find name) in
+      let alloc = h.Emts_alloc.allocate ctx in
+      Printf.sprintf "%s %s %s" label name
+        (String.concat " "
+           (Array.to_list (Array.map string_of_int alloc))))
+    seed_heuristics
+
+let zero_every_third g =
+  Graph.map_tasks
+    (fun t ->
+      if t.Emts_ptg.Task.id mod 3 = 0 then
+        { t with Emts_ptg.Task.flop = 0.; pattern = Emts_ptg.Task.Direct }
+      else t)
+    g
+
+let seed_corpus () =
+  let grid =
+    List.concat_map
+      (fun n ->
+        let graph =
+          Testutil.costed_daggen (Emts_prng.create ~seed:(7000 + n) ()) ~n
+        in
+        List.concat_map
+          (fun (mname, model) ->
+            List.concat_map
+              (fun (platform : Emts_platform.t) ->
+                seed_lines
+                  ~label:
+                    (Printf.sprintf "daggen/n=%d/%s/%s" n mname
+                       platform.Emts_platform.name)
+                  ~model ~platform graph)
+              [ Emts_platform.grelon; Emts_platform.chti ])
+          [ ("model1", Emts_model.amdahl); ("model2", Emts_model.synthetic) ])
+      [ 1; 2; 20; 100; 300 ]
+  in
+  let rng = Emts_prng.create ~seed:2011 () in
+  let costed g = Emts_daggen.Costs.assign rng g in
+  let shapes =
+    [
+      ("chain12", costed (Emts_daggen.Shapes.chain 12));
+      ("fork30", costed (Emts_daggen.Shapes.fork_join 30));
+      ("single", costed (Emts_daggen.Shapes.chain 1));
+      ("independent25", costed (Emts_daggen.Shapes.independent 25));
+      ("zero-chain9", zero_every_third (costed (Emts_daggen.Shapes.chain 9)));
+      ( "zero-mesh4x4",
+        zero_every_third
+          (costed (Emts_daggen.Shapes.layered_mesh ~layers:4 ~width:4)) );
+    ]
+    @ List.init 12 (fun i -> (Printf.sprintf "gen%d" i, Emts_check.Gen.graph rng))
+  in
+  let adversarial =
+    List.concat_map
+      (fun (sname, graph) ->
+        List.concat_map
+          (fun (mname, model) ->
+            List.concat_map
+              (fun procs ->
+                let platform =
+                  Emts_platform.make
+                    ~name:(Printf.sprintf "p%d" procs)
+                    ~processors:procs ~speed_gflops:1.
+                in
+                seed_lines
+                  ~label:(Printf.sprintf "%s/%s/p%d" sname mname procs)
+                  ~model ~platform graph)
+              [ 1; 3; 20 ])
+          Emts_check.Scenario.models)
+      shapes
+  in
+  String.concat "\n" (grid @ adversarial) ^ "\n"
+
+let test_seed_allocations () =
+  check_golden "seed_allocations" (seed_corpus ())
+
 let () =
   Alcotest.run "golden"
     [
@@ -198,5 +288,10 @@ let () =
         [
           Alcotest.test_case "arrival-trace commitments" `Quick
             test_online_commitments;
+        ] );
+      ( "seeds",
+        [
+          Alcotest.test_case "CPA-family and DeltaCP allocations" `Quick
+            test_seed_allocations;
         ] );
     ]
