@@ -577,6 +577,84 @@ let run_alloc_gate () =
     end
     else Printf.printf "OK: within budget (%.0f B <= %.0f B)\n" median budget
 
+(* Seeding leg (BENCH_ONLY=seeding): the seed heuristics EMTS runs on
+   every request, on irregular daggen graphs of BENCH_SEEDING_NS tasks
+   (default 100,1000,3000) under Model 1 and Model 2 on Grelon.  Prints
+   the wall time of MCPA, HCPA and DeltaCP, the growth loop's steps and
+   recomputed bottom levels (the [alloc.growth.*] counters), and the
+   minor-heap words MCPA and HCPA allocate per growth step, set-up
+   included.  Times are printed, not gated: the words-per-step figure
+   is machine-independent and must stay within
+   BENCH_SEEDING_WORDS_BUDGET (default 64), else the leg exits 1. *)
+let run_seeding () =
+  let budget = getenv_float "BENCH_SEEDING_WORDS_BUDGET" 64. in
+  let sizes =
+    match Sys.getenv_opt "BENCH_SEEDING_NS" with
+    | None -> [ 100; 1000; 3000 ]
+    | Some s -> List.map int_of_string (String.split_on_char ',' s)
+  in
+  rule
+    (Printf.sprintf
+       "Seeding: MCPA/HCPA/DeltaCP on Grelon, minor words per growth step \
+        <= %.0f"
+       budget);
+  Emts_obs.Metrics.set_enabled true;
+  let counter name =
+    Option.value ~default:0 (Emts_obs.Metrics.find_counter name)
+  in
+  Printf.printf "%-7s %6s %-7s %10s %8s %10s %10s\n" "model" "n" "alloc" "ms"
+    "steps" "relaxed" "words/step";
+  let worst = ref 0. in
+  List.iter
+    (fun (mname, model) ->
+      List.iter
+        (fun n ->
+          let r = Emts_prng.create ~seed:(0x5EED + n) () in
+          let graph =
+            Emts_daggen.Costs.assign r
+              (Emts_daggen.Random_dag.generate r
+                 { n; width = 0.5; regularity = 0.2; density = 0.2; jump = 2 })
+          in
+          let ctx =
+            Emts_alloc.Common.make_ctx ~model ~platform:grelon ~graph
+          in
+          List.iter
+            (fun (name, allocate, growth) ->
+              let steps0 = counter "alloc.growth.steps"
+              and relaxed0 = counter "alloc.growth.relaxed" in
+              let words0 = Gc.minor_words () in
+              let t0 = Emts_obs.Clock.now () in
+              ignore (allocate ctx : Emts_sched.Allocation.t);
+              let ms = 1000. *. Emts_obs.Clock.elapsed ~since:t0 in
+              let words = Gc.minor_words () -. words0 in
+              let steps = counter "alloc.growth.steps" - steps0
+              and relaxed = counter "alloc.growth.relaxed" - relaxed0 in
+              let per_step =
+                if not growth then Printf.sprintf "%10s" "-"
+                else begin
+                  let w = words /. float_of_int (max 1 steps) in
+                  worst := Float.max !worst w;
+                  Printf.sprintf "%10.1f" w
+                end
+              in
+              Printf.printf "%-7s %6d %-7s %10.2f %8d %10d %s\n%!" mname n
+                name ms steps relaxed per_step)
+            [
+              ("MCPA", Emts_alloc.Mcpa.allocate, true);
+              ("HCPA", Emts_alloc.Hcpa.allocate, true);
+              ("DeltaCP", Emts_alloc.Delta_critical.allocate ?delta:None, false);
+            ])
+        sizes)
+    [ ("model1", Emts_model.amdahl); ("model2", model2) ];
+  if !worst > budget then begin
+    Printf.printf "FAIL: %.1f minor words per growth step exceeds budget %.0f\n"
+      !worst budget;
+    exit 1
+  end
+  else
+    Printf.printf "OK: at most %.1f minor words per growth step (budget %.0f)\n"
+      !worst budget
+
 (* Fleet: the router front-end over one vs two single-worker backends
    on time-budgeted anytime solves — each request returns its
    best-so-far at the budget, so a second backend answers a second
@@ -1212,6 +1290,9 @@ let () =
        via at_exit to keep it available for triage either way *)
     at_exit (fun () -> write_metrics_json metrics_json);
     run_alloc_gate ()
+  | Some "seeding" ->
+    at_exit (fun () -> write_metrics_json metrics_json);
+    run_seeding ()
   | Some "delta" ->
     run_delta_speedup ();
     write_metrics_json metrics_json
@@ -1230,7 +1311,7 @@ let () =
     end
   | Some other when other <> "" ->
     Printf.eprintf
-      "unknown BENCH_ONLY=%s (known: alloc-gate, delta, serve, fleet, online)\n"
+      "unknown BENCH_ONLY=%s (known: alloc-gate, seeding, delta, serve, fleet, online)\n"
       other;
     exit 2
   | _ ->

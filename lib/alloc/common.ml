@@ -19,20 +19,14 @@ let time_of ctx alloc v = ctx.tables.(v).(alloc.(v) - 1)
 let times ctx alloc =
   Array.init (Graph.task_count ctx.graph) (time_of ctx alloc)
 
-let critical_path_length ctx alloc =
-  Analysis.critical_path_length ctx.graph ~time:(time_of ctx alloc)
-
-let average_area ctx alloc =
-  Analysis.average_area ctx.graph ~time:(time_of ctx alloc)
-    ~alloc:(fun v -> alloc.(v))
-    ~procs:ctx.procs
-
 let critical_path ctx alloc =
   Analysis.critical_path ctx.graph ~time:(time_of ctx alloc)
 
 type gain = Efficiency | Absolute
 
-let gain_value ctx alloc gain v =
+(* Inlined so the growth loop reads each candidate's gain unboxed: a
+   call boxes the float result, ~50 minor words per step at n=1000. *)
+let[@inline] gain_value ctx alloc gain v =
   let s = alloc.(v) in
   if s >= ctx.procs then neg_infinity
   else begin
@@ -42,47 +36,137 @@ let gain_value ctx alloc gain v =
     | Absolute -> now -. next
   end
 
-let growth_loop ?max_iters ~gain ~eligible ctx =
-  let n = Graph.task_count ctx.graph in
+let m_steps =
+  Emts_obs.Metrics.counter "alloc.growth.steps"
+    ~help:"Processors added by the CPA-family growth loop (one per step)."
+
+let m_relaxed =
+  Emts_obs.Metrics.counter "alloc.growth.relaxed"
+    ~help:"Bottom levels recomputed by the CPA-family growth loop."
+
+(* The loop keeps the per-task times, the bottom levels and the
+   per-level allocation totals as state and updates them after each
+   step, instead of recomputing the graph.  Every value it compares is
+   the float the from-scratch definitions compute:
+   - [bl] is [Analysis.bottom_levels] at the start; after a step only
+     the grown task and the ancestors whose [bl] actually moves are
+     recomputed, with the same [t +. max succ bl] in the same successor
+     order.  Bottom levels are never NaN or -0. (times are checked
+     non-negative), so [if b > m then m := b] folds exactly like
+     [Float.max].
+   - [T_CP], the maximum bottom level, is attained at a source: a task's
+     [bl] is at least each successor's, since adding a non-negative time
+     never rounds below the addend.
+   - [T_A] is re-summed in index order each step, as [Analysis.work]
+     does: a running sum updated by differences would round differently.
+   - The critical-path walk is [Analysis.critical_path]'s: the first
+     source, then the first successor, with the strictly largest bl. *)
+let growth_loop ~gain ~eligible ctx =
+  let g = ctx.graph and procs = ctx.procs in
+  let n = Graph.task_count g in
   let alloc = Array.make n 1 in
-  if n = 0 then alloc
-  else begin
-    let cap =
-      match max_iters with
-      | Some m -> m
-      | None -> n * ctx.procs
+  if n > 0 then begin
+    let time = Array.init n (fun v -> ctx.tables.(v).(0)) in
+    let bl = Analysis.bottom_levels g ~time:(Array.get time) in
+    let sources = Array.of_list (Graph.sources g) in
+    let topo = Graph.topological_order g in
+    let pos = Array.make n 0 in
+    Array.iteri (fun k v -> pos.(v) <- k) topo;
+    let level = Graph.precedence_level g in
+    let level_total = Array.make (max 1 (Graph.level_count g)) 0 in
+    Array.iter (fun lv -> level_total.(lv) <- level_total.(lv) + 1) level;
+    let dirty = Array.make n false in
+    let steps = ref 0 and relaxed = ref 0 in
+    (* Re-relax bottom levels after [v]'s time changed: sweep the
+       topological order backwards from [v], recomputing only dirty
+       tasks; a task whose bl moves dirties its predecessors, which sit
+       earlier in the order, so every recomputation sees final
+       successors. *)
+    let relax v =
+      dirty.(v) <- true;
+      let pending = ref 1 and k = ref pos.(v) in
+      while !pending > 0 do
+        let u = topo.(!k) in
+        if dirty.(u) then begin
+          dirty.(u) <- false;
+          decr pending;
+          incr relaxed;
+          let succ = Graph.succs g u in
+          let m = ref 0. in
+          for i = 0 to Array.length succ - 1 do
+            let b = bl.(succ.(i)) in
+            if b > !m then m := b
+          done;
+          let b = time.(u) +. !m in
+          if b <> bl.(u) then begin
+            bl.(u) <- b;
+            let pred = Graph.preds g u in
+            for i = 0 to Array.length pred - 1 do
+              let w = pred.(i) in
+              if not dirty.(w) then begin
+                dirty.(w) <- true;
+                incr pending
+              end
+            done
+          end
+        end;
+        decr k
+      done
     in
-    let rec step iter =
-      if iter >= cap then ()
-      else begin
-        let t_cp = critical_path_length ctx alloc in
-        let t_a = average_area ctx alloc in
-        if t_cp <= t_a then ()
-        else begin
-          (* Best eligible critical-path task; ties by smaller id via
-             the ascending fold with strict improvement. *)
-          let cp = critical_path ctx alloc in
-          let best =
-            List.fold_left
-              (fun acc v ->
-                if not (eligible alloc v) then acc
-                else begin
-                  let g = gain_value ctx alloc gain v in
-                  match acc with
-                  | Some (_, gbest) when gbest >= g -> acc
-                  | _ when g = neg_infinity -> acc
-                  | _ -> Some (v, g)
-                end)
-              None cp
-          in
-          match best with
-          | Some (v, g) when g > 0. ->
-            alloc.(v) <- alloc.(v) + 1;
-            step (iter + 1)
-          | Some _ | None -> ()
+    let continue = ref true in
+    while !continue do
+      let t_cp = ref neg_infinity and start = ref (-1) in
+      for i = 0 to Array.length sources - 1 do
+        let s = sources.(i) in
+        if bl.(s) > !t_cp then begin
+          t_cp := bl.(s);
+          start := s
         end
+      done;
+      let work = ref 0. in
+      for v = 0 to n - 1 do
+        work := !work +. (time.(v) *. float_of_int alloc.(v))
+      done;
+      if !t_cp <= !work /. float_of_int procs then continue := false
+      else begin
+        (* Best eligible critical-path task: the first in path order
+           among those with the largest gain. *)
+        let best = ref (-1) and best_gain = ref 0. in
+        let v = ref !start in
+        while !v >= 0 do
+          let u = !v in
+          if eligible ~alloc ~level_total:level_total.(level.(u)) u then begin
+            let gu = gain_value ctx alloc gain u in
+            if not (!best >= 0 && !best_gain >= gu) && gu <> neg_infinity
+            then begin
+              best := u;
+              best_gain := gu
+            end
+          end;
+          let succ = Graph.succs g u in
+          v := -1;
+          for i = 0 to Array.length succ - 1 do
+            let w = succ.(i) in
+            if !v < 0 || bl.(w) > bl.(!v) then v := w
+          done
+        done;
+        if !best >= 0 && !best_gain > 0. then begin
+          let u = !best in
+          alloc.(u) <- alloc.(u) + 1;
+          level_total.(level.(u)) <- level_total.(level.(u)) + 1;
+          let t = time_of ctx alloc u in
+          if Float.is_nan t || t < 0. then
+            invalid_arg
+              (Printf.sprintf
+                 "Common.growth_loop: time of node %d is invalid (%g)" u t);
+          time.(u) <- t;
+          incr steps;
+          relax u
+        end
+        else continue := false
       end
-    in
-    step 0;
-    alloc
-  end
+    done;
+    Emts_obs.Metrics.add m_steps !steps;
+    Emts_obs.Metrics.add m_relaxed !relaxed
+  end;
+  alloc

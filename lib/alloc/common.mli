@@ -25,12 +25,6 @@ val time_of : ctx -> Emts_sched.Allocation.t -> int -> float
 
 val times : ctx -> Emts_sched.Allocation.t -> float array
 
-val critical_path_length : ctx -> Emts_sched.Allocation.t -> float
-(** [T_CP]: the longest path under the current allocation. *)
-
-val average_area : ctx -> Emts_sched.Allocation.t -> float
-(** [T_A = (1/P) sum_v T(v, s(v)) * s(v)]. *)
-
 val critical_path : ctx -> Emts_sched.Allocation.t -> int list
 (** One critical path under the current allocation (deterministic). *)
 
@@ -50,14 +44,24 @@ val gain_value : ctx -> Emts_sched.Allocation.t -> gain -> int -> float
     task is already at the cluster size. *)
 
 (** CPA-style growth loop shared by CPA, HCPA and MCPA: start from the
-    all-ones allocation and, while [T_CP > T_A], add one processor to
-    the eligible critical-path task with the best positive gain; stop
-    when no eligible task improves.  [eligible alloc v] restricts
-    candidates (MCPA's per-level budget); [max_iters] is a safety cap
-    (default [V * P]). *)
+    all-ones allocation and, while [T_CP > T_A] (critical-path length
+    above the average area [(1/P) sum_v T(v, s(v)) * s(v)]), add one
+    processor to the eligible critical-path task with the best positive
+    gain (the first in path order on ties); stop when no eligible task
+    improves.  Each step adds a processor to a task below [P], so there
+    are at most [V * (P - 1)] steps.
+
+    [eligible ~alloc ~level_total v] restricts candidates: [alloc] is
+    the current allocation and [level_total] the summed allocation of
+    [v]'s precedence level (MCPA's per-level budget).
+
+    The loop updates bottom levels incrementally (DESIGN.md §5) and
+    returns the allocation the from-scratch definitions give, bit for
+    bit.  It adds its step count and its number of recomputed bottom
+    levels to the [alloc.growth.steps] and [alloc.growth.relaxed]
+    counters once per call. *)
 val growth_loop :
-  ?max_iters:int ->
   gain:gain ->
-  eligible:(Emts_sched.Allocation.t -> int -> bool) ->
+  eligible:(alloc:Emts_sched.Allocation.t -> level_total:int -> int -> bool) ->
   ctx ->
   Emts_sched.Allocation.t

@@ -1,19 +1,7 @@
 let name = "MCPA"
 
 let allocate ctx =
-  let graph = ctx.Common.graph in
-  let level = Emts_ptg.Graph.precedence_level graph in
-  let n = Emts_ptg.Graph.task_count graph in
-  (* Total allocation of one precedence level under the current vector;
-     O(V) per probe, negligible next to the critical-path recomputation
-     of the growth loop. *)
-  let level_total alloc lv =
-    let total = ref 0 in
-    for v = 0 to n - 1 do
-      if level.(v) = lv then total := !total + alloc.(v)
-    done;
-    !total
-  in
+  let procs = ctx.Common.procs in
   Common.growth_loop ~gain:Common.Efficiency
-    ~eligible:(fun alloc v -> level_total alloc level.(v) < ctx.Common.procs)
+    ~eligible:(fun ~alloc:_ ~level_total _v -> level_total < procs)
     ctx

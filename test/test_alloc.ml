@@ -43,11 +43,52 @@ let test_growth_loop_respects_eligibility () =
   in
   let alloc =
     Common.growth_loop ~gain:Common.Efficiency
-      ~eligible:(fun alloc v -> v = 0 && alloc.(v) < 5)
+      ~eligible:(fun ~alloc ~level_total:_ v -> v = 0 && alloc.(v) < 5)
       (ctx_of g)
   in
   Alcotest.(check int) "capped task" 5 alloc.(0);
-  Alcotest.(check int) "ineligible task" 1 alloc.(1)
+  Alcotest.(check int) "ineligible task" 1 alloc.(1);
+  (* the level total handed to the predicate is the live sum: capping
+     it at 7 on a chain (one task per level) caps each task at 7 *)
+  let alloc =
+    Common.growth_loop ~gain:Common.Efficiency
+      ~eligible:(fun ~alloc ~level_total v ->
+        Alcotest.(check int) "level total of a chain task" alloc.(v)
+          level_total;
+        level_total < 7)
+      (ctx_of g)
+  in
+  Alcotest.(check (array int)) "level-capped chain" [| 7; 7 |] alloc
+
+(* The growth counters: one step per added processor, so
+   [alloc.growth.steps] grows by sum (alloc.(v) - 1); every step
+   recomputes at least the grown task's bottom level. *)
+let test_growth_counters () =
+  Emts_obs.Metrics.set_enabled true;
+  let g = Testutil.costed_daggen (Emts_prng.create ~seed:5 ()) ~n:40 in
+  let ctx = ctx_of ~model:Emts_model.amdahl g in
+  let count name =
+    Option.value ~default:0 (Emts_obs.Metrics.find_counter name)
+  in
+  List.iter
+    (fun (name, allocate) ->
+      let steps0 = count "alloc.growth.steps"
+      and relaxed0 = count "alloc.growth.relaxed" in
+      let alloc = allocate ctx in
+      let steps = count "alloc.growth.steps" - steps0
+      and relaxed = count "alloc.growth.relaxed" - relaxed0 in
+      Alcotest.(check int)
+        (name ^ ": steps = processors added")
+        (Array.fold_left (fun acc s -> acc + s - 1) 0 alloc)
+        steps;
+      Alcotest.(check bool) (name ^ ": the loop grew something") true
+        (steps > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: relaxed %d >= steps %d" name relaxed steps)
+        true (relaxed >= steps))
+    [ ("CPA", A.Cpa.allocate); ("HCPA", A.Hcpa.allocate);
+      ("MCPA", A.Mcpa.allocate) ];
+  Emts_obs.Metrics.set_enabled false
 
 let test_gain_value () =
   let g =
@@ -383,6 +424,7 @@ let () =
           Alcotest.test_case "eligibility respected" `Quick
             test_growth_loop_respects_eligibility;
           Alcotest.test_case "gain values" `Quick test_gain_value;
+          Alcotest.test_case "growth counters" `Quick test_growth_counters;
         ] );
       ( "hcpa",
         [ Alcotest.test_case "criterion differs from CPA" `Quick test_hcpa_differs_from_cpa ] );
