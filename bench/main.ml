@@ -584,10 +584,10 @@ let run_alloc_gate () =
    recomputed bottom levels (the [alloc.growth.*] counters), and the
    minor-heap words MCPA and HCPA allocate per growth step, set-up
    included.  Times are printed, not gated: the words-per-step figure
-   is machine-independent and must stay within
-   BENCH_SEEDING_WORDS_BUDGET (default 64), else the leg exits 1. *)
+   is machine-independent and must stay within 64, else the leg exits
+   1. *)
 let run_seeding () =
-  let budget = getenv_float "BENCH_SEEDING_WORDS_BUDGET" 64. in
+  let budget = 64. in
   let sizes =
     match Sys.getenv_opt "BENCH_SEEDING_NS" with
     | None -> [ 100; 1000; 3000 ]

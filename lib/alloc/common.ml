@@ -48,10 +48,10 @@ let m_relaxed =
    per-level allocation totals as state and updates them after each
    step, instead of recomputing the graph.  Every value it compares is
    the float the from-scratch definitions compute:
-   - [bl] is [Analysis.bottom_levels] at the start; after a step only
-     the grown task and the ancestors whose [bl] actually moves are
-     recomputed, with the same [t +. max succ bl] in the same successor
-     order.  Bottom levels are never NaN or -0. (times are checked
+   - [bl] is [Analysis.bottom_levels] at the start; after a step the
+     grown task and every task before it in topological order are
+     recomputed in place, with the same [t +. max succ bl] in the same
+     successor order.  Bottom levels are never NaN or -0. (times are checked
      non-negative), so [if b > m then m := b] folds exactly like
      [Float.max].
    - [T_CP], the maximum bottom level, is attained at a source: a task's
@@ -75,43 +75,23 @@ let growth_loop ~gain ~eligible ctx =
     let level = Graph.precedence_level g in
     let level_total = Array.make (max 1 (Graph.level_count g)) 0 in
     Array.iter (fun lv -> level_total.(lv) <- level_total.(lv) + 1) level;
-    let dirty = Array.make n false in
     let steps = ref 0 and relaxed = ref 0 in
-    (* Re-relax bottom levels after [v]'s time changed: sweep the
-       topological order backwards from [v], recomputing only dirty
-       tasks; a task whose bl moves dirties its predecessors, which sit
-       earlier in the order, so every recomputation sees final
+    (* Recompute bottom levels after [v]'s time changed: only [v] and
+       the tasks before it in topological order can be its ancestors;
+       sweeping them backwards means every recomputation sees final
        successors. *)
     let relax v =
-      dirty.(v) <- true;
-      let pending = ref 1 and k = ref pos.(v) in
-      while !pending > 0 do
-        let u = topo.(!k) in
-        if dirty.(u) then begin
-          dirty.(u) <- false;
-          decr pending;
-          incr relaxed;
-          let succ = Graph.succs g u in
-          let m = ref 0. in
-          for i = 0 to Array.length succ - 1 do
-            let b = bl.(succ.(i)) in
-            if b > !m then m := b
-          done;
-          let b = time.(u) +. !m in
-          if b <> bl.(u) then begin
-            bl.(u) <- b;
-            let pred = Graph.preds g u in
-            for i = 0 to Array.length pred - 1 do
-              let w = pred.(i) in
-              if not dirty.(w) then begin
-                dirty.(w) <- true;
-                incr pending
-              end
-            done
-          end
-        end;
-        decr k
-      done
+      for k = pos.(v) downto 0 do
+        let u = topo.(k) in
+        let succ = Graph.succs g u in
+        let m = ref 0. in
+        for i = 0 to Array.length succ - 1 do
+          let b = bl.(succ.(i)) in
+          if b > !m then m := b
+        done;
+        bl.(u) <- time.(u) +. !m
+      done;
+      relaxed := !relaxed + pos.(v) + 1
     in
     let continue = ref true in
     while !continue do
@@ -135,7 +115,7 @@ let growth_loop ~gain ~eligible ctx =
         let v = ref !start in
         while !v >= 0 do
           let u = !v in
-          if eligible ~alloc ~level_total:level_total.(level.(u)) u then begin
+          if eligible ~level_total:level_total.(level.(u)) u then begin
             let gu = gain_value ctx alloc gain u in
             if not (!best >= 0 && !best_gain >= gu) && gu <> neg_infinity
             then begin

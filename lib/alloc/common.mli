@@ -51,9 +51,9 @@ val gain_value : ctx -> Emts_sched.Allocation.t -> gain -> int -> float
     improves.  Each step adds a processor to a task below [P], so there
     are at most [V * (P - 1)] steps.
 
-    [eligible ~alloc ~level_total v] restricts candidates: [alloc] is
-    the current allocation and [level_total] the summed allocation of
-    [v]'s precedence level (MCPA's per-level budget).
+    [eligible ~level_total v] restricts candidates: [level_total] is
+    the summed current allocation of [v]'s precedence level (MCPA's
+    per-level budget).
 
     The loop updates bottom levels incrementally (DESIGN.md §5) and
     returns the allocation the from-scratch definitions give, bit for
@@ -62,6 +62,6 @@ val gain_value : ctx -> Emts_sched.Allocation.t -> gain -> int -> float
     counters once per call. *)
 val growth_loop :
   gain:gain ->
-  eligible:(alloc:Emts_sched.Allocation.t -> level_total:int -> int -> bool) ->
+  eligible:(level_total:int -> int -> bool) ->
   ctx ->
   Emts_sched.Allocation.t

@@ -2,5 +2,5 @@ let name = "CPA"
 
 let allocate ctx =
   Common.growth_loop ~gain:Common.Efficiency
-    ~eligible:(fun ~alloc:_ ~level_total:_ _v -> true)
+    ~eligible:(fun ~level_total:_ _v -> true)
     ctx

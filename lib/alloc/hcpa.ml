@@ -2,5 +2,5 @@ let name = "HCPA"
 
 let allocate ctx =
   Common.growth_loop ~gain:Common.Absolute
-    ~eligible:(fun ~alloc:_ ~level_total:_ _v -> true)
+    ~eligible:(fun ~level_total:_ _v -> true)
     ctx

@@ -3,5 +3,5 @@ let name = "MCPA"
 let allocate ctx =
   let procs = ctx.Common.procs in
   Common.growth_loop ~gain:Common.Efficiency
-    ~eligible:(fun ~alloc:_ ~level_total _v -> level_total < procs)
+    ~eligible:(fun ~level_total _v -> level_total < procs)
     ctx
